@@ -90,19 +90,39 @@ func TestNodeNesting(t *testing.T) {
 	}
 }
 
-// Coordinator-fed shards cannot be split across a subtree: the node must
-// reject the coordinator-fed summarize ops outright instead of silently
-// duplicating the shard on every leaf.
+// countingHandler is a child that counts the requests reaching it.
+type countingHandler struct {
+	*cluster.Worker
+	calls int
+}
+
+func (c *countingHandler) Handle(req []byte) ([]byte, error) {
+	c.calls++
+	return c.Worker.Handle(req)
+}
+
+// Op codes 2 and 3 were the coordinator-fed Summarize/SummarizeRows of
+// formats 1–8, whose raw shards could not be split across a subtree.
+// Format 9 retired them: the node must refuse a directive carrying either
+// at decode, before anything is fanned out to the children.
 func TestNodeRejectsCoordinatorFedOps(t *testing.T) {
-	n, err := NewNode(0, HandlerChild(cluster.NewWorker(0)), HandlerChild(cluster.NewWorker(1)))
+	kids := []*countingHandler{{Worker: cluster.NewWorker(0)}, {Worker: cluster.NewWorker(1)}}
+	n, err := NewNode(0, HandlerChild(kids[0]), HandlerChild(kids[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []wire.Op{wire.OpSummarize, wire.OpSummarizeRows} {
-		_, err := n.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: op, Round: 1}))
-		if err == nil || !strings.Contains(err.Error(), "shard-local") {
-			t.Errorf("op %d: error = %v, want a shard-local data plane refusal", op, err)
+	probes := kids[0].calls + kids[1].calls
+	classify := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 1})
+	for _, op := range []byte{2, 3} {
+		req := append([]byte(nil), classify...)
+		req[4] = op // the op byte follows the four-byte header
+		_, err := n.Handle(req)
+		if err == nil || !strings.Contains(err.Error(), "unknown directive op") {
+			t.Errorf("op %d: error = %v, want the decoder's unknown-op refusal", op, err)
 		}
+	}
+	if got := kids[0].calls + kids[1].calls; got != probes {
+		t.Errorf("retired ops reached the children: %d calls after the topology probe, want %d", got, probes)
 	}
 }
 

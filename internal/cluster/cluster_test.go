@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
+	"repro/internal/stats/summary"
 	"repro/internal/wire"
 )
 
@@ -23,43 +24,60 @@ func call(t *testing.T, tr Transport, w int, d *wire.Directive) *wire.Report {
 	return rep
 }
 
-// One full worker round over the loopback: configure, summarize, classify.
+// scalarConf configures a scalar generator: honest values drawn from pool,
+// poison resolved on the sorted reference ref.
+func scalarConf(pool, ref []float64) *wire.Directive {
+	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Pool: pool, RefSorted: ref}
+}
+
+// pointGen is a generator spec whose poison all lands at the top of the
+// percentile scale with no jitter, so a single-valued pool makes every draw
+// predictable.
+func pointGen(honest, poison int) *wire.GenSpec {
+	return &wire.GenSpec{Seed: 7, HonestN: honest, PoisonN: poison, InjectKind: byte(attack.SpecPoint), InjectHi: 1}
+}
+
+// One full worker round over the loopback: configure, generate, classify.
 func TestWorkerRound(t *testing.T) {
 	tr := NewLoopback(1)
-	call(t, tr, 0, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
+	call(t, tr, 0, scalarConf([]float64{3}, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}))
 
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpSummarize, Round: 1, Values: values, PoisonFrom: 8})
-	if rep.Count != len(values) || rep.ValueSum != 55 {
-		t.Fatalf("summarize report: count %d sum %v", rep.Count, rep.ValueSum)
+	// 8 honest draws of 3, then 2 poison at the reference maximum 10.
+	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpGenerate, Round: 1, Gen: pointGen(8, 2)})
+	if rep.Count != 10 || rep.ValueSum != 44 || rep.PctSum != 2 {
+		t.Fatalf("generate report: count %d sum %v pct sum %v", rep.Count, rep.ValueSum, rep.PctSum)
 	}
-	if got := rep.Sum.Query(0.5); math.Abs(got-5) > 1.5 {
+	if got := rep.Sum.Query(0.5); got != 3 {
 		t.Fatalf("median of shard summary = %v", got)
 	}
 
 	rep = call(t, tr, 0, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 8.5})
 	want := wire.Counts{HonestKept: 8, HonestTrimmed: 0, PoisonKept: 0, PoisonTrimmed: 2}
-	// values 9,10 are poison (PoisonFrom 8) and above threshold 8.5.
+	// The two poison values (10) are above threshold 8.5.
 	if rep.Counts != want {
 		t.Fatalf("counts %+v, want %+v", rep.Counts, want)
 	}
-	if rep.KeptCount != 8 || rep.KeptSum != 36 {
+	if rep.KeptCount != 8 || rep.KeptSum != 24 {
 		t.Fatalf("kept aggregates: count %d sum %v", rep.KeptCount, rep.KeptSum)
+	}
+	if rep.PoolRows != nil || rep.Vec != nil {
+		t.Fatalf("scalar classify carried row-game fields: pool %v vec %+v", rep.PoolRows, rep.Vec)
 	}
 }
 
-// The row phase: distances from the shipped center, kept indices, and a
-// vector delta of the accepted rows.
+// The row phase: distances from the directive's center, a vector delta of
+// the accepted rows, and the kept rows appended to the worker-held pool
+// (reported by total, paged out by OpFetchRows).
 func TestWorkerRowRound(t *testing.T) {
 	tr := NewLoopback(1)
-	call(t, tr, 0, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
+	call(t, tr, 0, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Rows: [][]float64{{3, 4}}})
 
-	rows := [][]float64{{0, 0}, {3, 4}, {6, 8}} // distances 0, 5, 10 from origin
-	rep := call(t, tr, 0, &wire.Directive{
-		Op: wire.OpSummarizeRows, Round: 1,
-		Rows: rows, Center: []float64{0, 0}, PoisonFrom: 2,
-	})
-	if rep.Count != 3 || rep.ValueSum != 15 {
+	// Honest rows are the one dataset row (3,4), distance 5 from the
+	// origin; the poison row is pushed out along it to the scale's top, 10.
+	gen := pointGen(2, 1)
+	gen.Scale = summary.FromUnsorted([]float64{10})
+	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpGenerateRows, Round: 1, Center: []float64{0, 0}, Gen: gen})
+	if rep.Count != 3 || rep.ValueSum != 20 {
 		t.Fatalf("distance aggregates: count %d sum %v", rep.Count, rep.ValueSum)
 	}
 
@@ -67,15 +85,19 @@ func TestWorkerRowRound(t *testing.T) {
 	if got, want := rep.Counts, (wire.Counts{HonestKept: 2, PoisonTrimmed: 1}); got != want {
 		t.Fatalf("counts %+v, want %+v", got, want)
 	}
-	if len(rep.KeptIdx) != 2 || rep.KeptIdx[0] != 0 || rep.KeptIdx[1] != 1 {
-		t.Fatalf("kept indices %v", rep.KeptIdx)
+	if len(rep.PoolRows) != 1 || rep.PoolRows[0] != 2 || rep.KeptRows != nil {
+		t.Fatalf("classify reply: pool totals %v, %d kept rows shipped", rep.PoolRows, len(rep.KeptRows))
 	}
 	if rep.Vec == nil || rep.Vec.Count != 2 || len(rep.Vec.Dims) != 2 {
 		t.Fatalf("vector delta %+v", rep.Vec)
 	}
-	// Kept rows (0,0) and (3,4): coordinate sums 3 and 4.
-	if rep.Vec.Sums[0] != 3 || rep.Vec.Sums[1] != 4 {
+	// Kept rows (3,4) twice: coordinate sums 6 and 8.
+	if rep.Vec.Sums[0] != 6 || rep.Vec.Sums[1] != 8 {
 		t.Fatalf("vector sums %v", rep.Vec.Sums)
+	}
+	page := call(t, tr, 0, &wire.Directive{Op: wire.OpFetchRows, Lo: 0, Hi: 2})
+	if len(page.KeptRows) != 2 || page.KeptRows[0][0] != 3 || page.KeptRows[1][1] != 4 {
+		t.Fatalf("kept-row page %v", page.KeptRows)
 	}
 }
 
@@ -83,13 +105,19 @@ func TestWorkerRowRound(t *testing.T) {
 func TestWorkerPhaseErrors(t *testing.T) {
 	w := NewWorker(0)
 	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1})); err == nil {
-		t.Fatal("classify before summarize succeeded")
+		t.Fatal("classify before generate succeeded")
 	}
 	if _, err := w.Handle([]byte("not a directive")); err == nil {
 		t.Fatal("garbage request succeeded")
 	}
-	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpSummarizeRows, Round: 1, Rows: [][]float64{{1}}})); err == nil {
-		t.Fatal("summarize-rows without center succeeded")
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpGenerate, Round: 1, Gen: pointGen(1, 0)})); err == nil {
+		t.Fatal("generate without a configured generator succeeded")
+	}
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Rows: [][]float64{{1}}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpGenerateRows, Round: 1, Gen: pointGen(1, 0)})); err == nil {
+		t.Fatal("generate-rows without center succeeded")
 	}
 }
 

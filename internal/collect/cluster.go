@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/arrival"
-	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -14,17 +13,14 @@ import (
 )
 
 // ClusterConfig parameterizes a scalar collection game distributed over a
-// cluster.Transport: the same game as RunSharded, but each shard lives
-// behind a transport boundary (in-process loopback or TCP worker
-// processes). By default arrival generation stays on the coordinator — it
-// owns the single RNG, so a run is reproducible given (seed, worker count);
-// with a Gen each worker generates its own arrivals from derived seed
-// streams (DESIGN.md §7) and a run is a pure function of (master seed,
-// worker count). In either mode, over the loopback with the same worker
-// count the cluster reproduces RunSharded's board record for record.
-// Workers only ever see their shard of each round and the resolved
-// threshold; the coordinator only ever sees wire-encoded summary deltas
-// and counts.
+// cluster.Transport: the same game as RunSharded with a ShardGen, but each
+// shard lives behind a transport boundary (in-process loopback or TCP
+// worker processes). Each worker generates its own arrivals from derived
+// seed streams (DESIGN.md §7), so a run is a pure function of (master
+// seed, worker count), and over the loopback with the same worker count
+// the cluster reproduces RunSharded's board record for record. Workers
+// only ever see their shard of each round and the resolved threshold; the
+// coordinator only ever sees wire-encoded summary deltas and counts.
 type ClusterConfig struct {
 	Config
 
@@ -32,21 +28,20 @@ type ClusterConfig struct {
 	// is the shard order.
 	Transport cluster.Transport
 
-	// Gen, when non-nil, switches the cluster to the shard-local data
-	// plane: the configure fan-out ships the honest pool and reference
-	// once, and every round directive shrinks to an O(1) generator spec
-	// (derived seed + counts + injection parameters) — coordinator egress
-	// per round drops from O(batch) to O(workers). The run reproduces
-	// RunSharded with the same Gen and worker count record for record.
+	// Gen is the shard-local data plane, and is required: the configure
+	// fan-out ships the honest pool and reference once, and every round
+	// directive is an O(1) generator spec (derived seed + counts +
+	// injection parameters), so coordinator egress per round is
+	// O(workers). The run reproduces RunSharded with the same Gen and
+	// worker count record for record.
 	Gen *ShardGen
 
 	// SubShards splits each worker's per-round generation into this many
 	// independently seeded sub-shards, drawn and summarized on parallel
 	// goroutines and folded locally in sub order (wire v6, DESIGN.md §12) —
 	// per-core parallelism inside each worker process on top of the
-	// per-worker parallelism across the cluster. Requires a Gen (the subs
-	// are cells of the flat derived-seed space); ≤ 1 means one shard per
-	// worker. The board is shape-invariant: a W-worker run with C sub-shards
+	// per-worker parallelism across the cluster. The subs are cells of the
+	// flat derived-seed space; ≤ 1 means one shard per worker. The board is shape-invariant: a W-worker run with C sub-shards
 	// reproduces a flat (W·C)-shard RunSharded reference record for record.
 	SubShards int
 
@@ -54,8 +49,7 @@ type ClusterConfig struct {
 	// round r's classify broadcast carries round r+1's generator specs
 	// (wire.OpClassifyGenerate), so workers overlap next-round generation
 	// with the current classify and a steady-state round costs one RTT
-	// instead of two. Requires a Gen — speculation is safe only in
-	// shard-local mode. The board is unchanged: a pipelined run reproduces
+	// instead of two. The board is unchanged: a pipelined run reproduces
 	// the unpipelined run (and hence the RunSharded reference) record for
 	// record; membership changes, checkpoints and resume flush the pipeline
 	// at the round boundary, so the fleet invariants are preserved.
@@ -80,24 +74,24 @@ type ClusterConfig struct {
 	// heartbeat liveness over the transport, an epoch-numbered membership
 	// view, and — with Fleet.Rejoin — re-admission of lost workers at round
 	// boundaries (transport Revive, then the Hello/Configure/Join
-	// handshake). Under a ShardGen, arrivals repartition deterministically
-	// over the live slot set, so a run that loses a worker and re-admits it
+	// handshake). Arrivals repartition deterministically over the live slot
+	// set, so a run that loses a worker and re-admits it
 	// matches the uninterrupted reference record for record from the first
 	// round the membership is whole again.
 	Fleet *fleet.Config
 
 	// Checkpoint, when non-nil, persists a wire-encoded Snapshot of the
-	// full coordinator game state every k rounds (fleet.Checkpointer).
-	// Requires a ShardGen: only a game that is a pure function of (master
-	// seed, slot count) can be resumed reproducibly.
+	// full coordinator game state every k rounds (fleet.Checkpointer). The
+	// game is a pure function of (master seed, slot count), which is what
+	// lets a resumed run reproduce it.
 	Checkpoint *fleet.Checkpointer
 
 	// Resume restarts the game from a decoded checkpoint: the board, the
 	// game-long Received/Kept streams, loss history and egress counters are
 	// restored bit for bit, strategies are replayed over the restored board,
 	// and play continues at Snapshot.NextRound. The snapshot's
-	// configuration fingerprint must match this config. Requires the same
-	// ShardGen the checkpointing run used.
+	// configuration fingerprint must match this config, including the
+	// ShardGen master seed the checkpointing run used.
 	Resume *wire.Snapshot
 
 	// Elastic admits new worker slots mid-game (DESIGN.md §13): before
@@ -107,8 +101,7 @@ type ClusterConfig struct {
 	// their derived seed streams — growth only opens new streams — so a run
 	// that grows by k before round 1 reproduces the (W+k)-worker run record
 	// for record, and a mid-game grow matches it from the grow round on.
-	// Requires the shard-local data plane (a ShardGen) and a transport
-	// implementing cluster.Grower; incompatible with Fleet supervision,
+	// Requires a transport implementing cluster.Grower; incompatible with Fleet supervision,
 	// checkpointing and resume. Steps must be in strictly ascending round
 	// order with Add > 0.
 	Elastic []GrowStep
@@ -122,20 +115,14 @@ type GrowStep struct {
 }
 
 func (c *ClusterConfig) validate() error {
-	if err := validateTransport(c.Transport); err != nil {
+	if err := validateCluster(c.Transport, c.Gen); err != nil {
 		return err
 	}
 	if c.ExactQuantiles {
 		return fmt.Errorf("collect: cluster collection requires summaries (ExactQuantiles must be false)")
 	}
-	if err := validatePipeline(c.Pipeline, c.Gen); err != nil {
+	if err := validateScaleKnobs(c.SubShards, c.FocusTighten, c.FocusWidth); err != nil {
 		return err
-	}
-	if err := validateScaleKnobs(c.SubShards, c.Gen, c.FocusTighten, c.FocusWidth); err != nil {
-		return err
-	}
-	if (c.Checkpoint != nil || c.Resume != nil) && c.Gen == nil {
-		return fmt.Errorf("collect: checkpoint/resume requires the shard-local data plane (a ShardGen)")
 	}
 	if c.Resume != nil {
 		if err := c.validateResume(); err != nil {
@@ -145,25 +132,18 @@ func (c *ClusterConfig) validate() error {
 	if err := c.validateElastic(); err != nil {
 		return err
 	}
-	if c.Gen != nil {
-		if _, err := specInjector(c.Adversary); err != nil {
-			return err
-		}
-		return c.Config.validateMode(true)
+	if _, err := specInjector(c.Adversary); err != nil {
+		return err
 	}
-	return c.Config.validate()
+	return c.Config.validateMode(true)
 }
 
 // validateElastic checks the growth schedule against the run modes that can
-// host it: only the shard-local data plane repartitions deterministically
-// over a wider slot set, and a growing slot space has no stable fingerprint
-// for supervision epochs or snapshots to pin.
+// host it: a growing slot space has no stable fingerprint for supervision
+// epochs or snapshots to pin.
 func (c *ClusterConfig) validateElastic() error {
 	if len(c.Elastic) == 0 {
 		return nil
-	}
-	if c.Gen == nil {
-		return fmt.Errorf("collect: elastic growth requires the shard-local data plane (a ShardGen)")
 	}
 	if _, ok := c.Transport.(cluster.Grower); !ok {
 		return fmt.Errorf("collect: elastic growth requires a transport implementing cluster.Grower")
@@ -241,21 +221,12 @@ type scalarGame struct {
 	cfg     *ClusterConfig
 	res     *Result
 	ref     []float64 // sorted clean reference
-	genPool []float64 // shard-local honest pool (nil when coordinator-fed)
+	genPool []float64 // honest pool the workers draw from
 	jscale  float64
-
-	// Coordinator-fed round state.
-	values []float64
-	bounds map[int][2]int
 }
 
 func (g *scalarGame) confDirective() wire.Directive {
-	conf := wire.Directive{Epsilon: g.cfg.SummaryEpsilon}
-	if g.cfg.Gen != nil {
-		conf.Pool = g.genPool
-		conf.RefSorted = g.ref
-	}
-	return conf
+	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, Pool: g.genPool, RefSorted: g.ref}
 }
 
 func (g *scalarGame) preRound(*engine, int) error      { return nil }
@@ -267,14 +238,6 @@ func (g *scalarGame) speculative() bool                { return true }
 
 func (g *scalarGame) specAttach(*engine, int, []*wire.Directive) {}
 
-func (g *scalarGame) feed(en *engine, r int) ([]*wire.Directive, float64, error) {
-	inject := g.cfg.Adversary.Injection(r, g.res.Board.adversaryView())
-	values, pctSum := drawArrivals(&g.cfg.Config, inject, g.ref, g.jscale, en.poison)
-	dirs, bounds := en.pool.scalarSummarizeDirs(r, values, g.cfg.Batch)
-	g.values, g.bounds = values, bounds
-	return dirs, pctSum, nil
-}
-
 func (g *scalarGame) foldGen(*wire.Report, arrival.Spec) {}
 
 func (g *scalarGame) threshold(pct float64, merged *summary.Summary) float64 {
@@ -285,9 +248,6 @@ func (g *scalarGame) threshold(pct float64, merged *summary.Summary) float64 {
 }
 
 func (g *scalarGame) quality(merged *summary.Summary) float64 {
-	if g.cfg.Quality != nil { // central generation only; rejected under Gen
-		return g.cfg.Quality(g.values, g.ref)
-	}
 	return ExcessMassQualitySummary(merged, g.ref)
 }
 
@@ -306,9 +266,8 @@ func (g *scalarGame) endRound(merged *summary.Summary, count int, sum float64) {
 
 // RunCluster plays the scalar collection game across a worker cluster. See
 // ClusterConfig for the protocol split; per round it is two fan-outs:
-// obtain the shard summaries (ship value slices, or — under a ShardGen —
-// broadcast O(1) generator specs and let each worker draw its own slice)
-// and merge the returned deltas, then broadcast the resolved threshold and
+// broadcast O(1) generator specs, let each worker draw and summarize its
+// own slice, and merge the returned deltas, then broadcast the resolved threshold and
 // reduce the returned classification counts and kept-pool deltas. With
 // Pipeline the two fan-outs of consecutive rounds overlap (one RTT per
 // steady-state round); the board is identical either way.
@@ -320,38 +279,23 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	cfg.Adversary.Reset()
 	ref := sortedCopy(cfg.Reference)
 
-	var genPool []float64
-	var si attack.SpecInjector
-	if cfg.Gen != nil {
-		genPool = cfg.Gen.Pool
-		if genPool == nil {
-			genPool = cfg.Reference
-		}
-		si, _ = specInjector(cfg.Adversary) // validated above
+	genPool := cfg.Gen.Pool
+	if genPool == nil {
+		genPool = cfg.Reference
 	}
+	si, _ := specInjector(cfg.Adversary) // validated above
 
-	// Baseline quality: the same draw as RunSharded in the matching mode,
-	// so the boards stay comparable record for record.
-	var baseline []float64
-	if cfg.Gen != nil {
-		gen := &arrival.Scalar{Pool: genPool, Ref: ref}
-		var err error
-		if baseline, _, err = gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch}); err != nil {
-			return nil, err
-		}
-	} else {
-		baseline = cleanBatch(cfg.Config)
+	// Baseline quality: the same pre-game draw as RunSharded with a Gen, so
+	// the boards stay comparable record for record.
+	gen := &arrival.Scalar{Pool: genPool, Ref: ref}
+	baseline, _, err := gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch})
+	if err != nil {
+		return nil, err
 	}
-	var baselineQ float64
-	if cfg.Quality != nil {
-		baselineQ = cfg.Quality(baseline, ref)
-	} else {
-		baselineQ = ExcessMassQuality(baseline, ref)
-	}
+	baselineQ := ExcessMassQuality(baseline, ref)
 
 	roundLen := cfg.Batch + cfg.poisonPerRound()
 	res := &Result{}
-	var err error
 	if res.Received, err = summary.New(cfg.SummaryEpsilon, cfg.Rounds*roundLen); err != nil {
 		return nil, err
 	}

@@ -19,11 +19,15 @@ import (
 	"repro/internal/trim"
 )
 
+// clusterConfig is baseConfig played over a loopback cluster on the
+// shard-local data plane, master seed = seed (the central Honest/Rng ride
+// along unused).
 func clusterConfig(t *testing.T, seed int64, workers int) ClusterConfig {
 	t.Helper()
 	return ClusterConfig{
 		Config:    baseConfig(t, seed),
 		Transport: cluster.NewLoopback(workers),
+		Gen:       &ShardGen{MasterSeed: seed},
 	}
 }
 
@@ -33,7 +37,7 @@ func TestRunClusterValidation(t *testing.T) {
 		func(c *ClusterConfig) { c.Transport = cluster.NewLoopback(0) },
 		func(c *ClusterConfig) { c.ExactQuantiles = true },
 		func(c *ClusterConfig) { c.Rounds = 0 },
-		func(c *ClusterConfig) { c.Rng = nil },
+		func(c *ClusterConfig) { c.Gen = nil },
 	}
 	for i, mutate := range bad {
 		cfg := clusterConfig(t, 30, 4)
@@ -44,13 +48,57 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 }
 
+// Every cluster entry point runs only the shard-local data plane: a config
+// without a ShardGen is rejected up front, while the same config with one
+// plays. RunShardedRows and RunShardedLDP are the cluster games over the
+// loopback, so they require it too.
+func TestClusterGamesRequireShardGen(t *testing.T) {
+	gen := &ShardGen{MasterSeed: 1}
+	scalar := shardLocalConfig(t)
+	scalar.Rounds, scalar.Batch = 2, 50
+	rows := rowsPipelineConfig(t, 1)
+	rows.Rounds = 2
+	ldpCfg := shardLocalLDPConfig(t)
+	ldpCfg.Rounds = 2
+	games := map[string]func(*ShardGen) error{
+		"RunCluster": func(g *ShardGen) error {
+			_, err := RunCluster(ClusterConfig{Config: scalar, Transport: cluster.NewLoopback(2), Gen: g})
+			return err
+		},
+		"RunClusterRows": func(g *ShardGen) error {
+			_, err := RunClusterRows(RowClusterConfig{RowConfig: rows, Transport: cluster.NewLoopback(2), Gen: g})
+			return err
+		},
+		"RunClusterLDP": func(g *ShardGen) error {
+			_, err := RunClusterLDP(LDPClusterConfig{LDPConfig: ldpCfg, Transport: cluster.NewLoopback(2), Gen: g})
+			return err
+		},
+		"RunShardedRows": func(g *ShardGen) error {
+			_, err := RunShardedRows(RowShardedConfig{RowConfig: rows, Shards: 2, Gen: g})
+			return err
+		},
+		"RunShardedLDP": func(g *ShardGen) error {
+			_, err := RunShardedLDP(LDPShardedConfig{LDPConfig: ldpCfg, Shards: 2, Gen: g})
+			return err
+		},
+	}
+	for name, play := range games {
+		if err := play(nil); err == nil || !strings.Contains(err.Error(), "ShardGen") {
+			t.Errorf("%s without a Gen: err = %v, want the ShardGen requirement", name, err)
+		}
+		if err := play(gen); err != nil {
+			t.Errorf("%s with a Gen: %v", name, err)
+		}
+	}
+}
+
 // The loopback cluster must reproduce the in-process sharded game exactly:
-// same seed, same shard count, same contiguous partition, same shard-order
-// merge — the wire encoding in between is bit-exact, so every resolved
-// threshold (and the whole board) is equal, not merely within ε.
+// same master seed, same shard count, same derived seed cells, same
+// shard-order merge — the wire encoding in between is bit-exact, so every
+// resolved threshold (and the whole board) is equal, not merely within ε.
 func TestRunClusterEqualsRunSharded(t *testing.T) {
 	const workers = 5
-	scfg := ShardedConfig{Config: baseConfig(t, 31), Shards: workers}
+	scfg := ShardedConfig{Config: baseConfig(t, 31), Shards: workers, Gen: &ShardGen{MasterSeed: 31}}
 	scfg.TrimOnBatch = true
 	sharded, err := RunSharded(scfg)
 	if err != nil {
@@ -76,9 +124,12 @@ func TestRunClusterEqualsRunSharded(t *testing.T) {
 	}
 }
 
-// The cluster's thresholds must stay within the summary rank-error budget
-// of the unsharded game on the same seed — the acceptance bound of the
-// distributed collector, asserted deterministically over the loopback.
+// The cluster's thresholds must stay within the summary rank-error budget,
+// plus batch sampling noise, of the unsharded game — the acceptance bound
+// of the distributed collector, asserted deterministically over the
+// loopback. The cluster draws its arrivals from derived per-shard streams,
+// the unsharded game from its own RNG: same distributions, different
+// draws.
 func TestRunClusterThresholdWithinEpsilonOfRun(t *testing.T) {
 	cfg := baseConfig(t, 32)
 	cfg.TrimOnBatch = true
@@ -135,6 +186,7 @@ func TestRunClusterWorkerLoss(t *testing.T) {
 	cfg := ClusterConfig{
 		Config:    baseConfig(t, 34),
 		Transport: lb,
+		Gen:       &ShardGen{MasterSeed: 34},
 		Log: obs.NewLogger(obs.PrintfSink(func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -182,10 +234,10 @@ func TestRunClusterWorkerLoss(t *testing.T) {
 	}
 }
 
-// More workers than arrivals: some shards get empty slices every round.
-// Empty shards must complete both phases (regression: an empty Values
-// slice decodes to nil and once tripped the classify "no summarize" guard,
-// dropping healthy workers as lost shards).
+// More workers than arrivals: some shards draw empty slices every round.
+// Empty shards must complete both phases (regression: an empty shard slice
+// is nil and once tripped the classify "no summarize" guard, dropping
+// healthy workers as lost shards).
 func TestRunClusterEmptyShards(t *testing.T) {
 	cfg := clusterConfig(t, 44, 8)
 	cfg.Batch = 3
@@ -209,7 +261,7 @@ func TestRunClusterEmptyShards(t *testing.T) {
 // tallies: the lost slice is missing from both.
 func TestRunClusterWorkerLossKeptConsistency(t *testing.T) {
 	lb := cluster.NewLoopback(4)
-	cfg := ClusterConfig{Config: baseConfig(t, 45), Transport: lb}
+	cfg := ClusterConfig{Config: baseConfig(t, 45), Transport: lb, Gen: &ShardGen{MasterSeed: 45}}
 	cfg.TrimOnBatch = true
 	rounds := 0
 	cfg.OnRound = func(RoundRecord) {
@@ -236,7 +288,7 @@ func TestRunClusterWorkerLossKeptConsistency(t *testing.T) {
 
 func TestRunClusterAllWorkersLost(t *testing.T) {
 	lb := cluster.NewLoopback(2)
-	cfg := ClusterConfig{Config: baseConfig(t, 35), Transport: lb}
+	cfg := ClusterConfig{Config: baseConfig(t, 35), Transport: lb, Gen: &ShardGen{MasterSeed: 35}}
 	cfg.TrimOnBatch = true
 	cfg.OnRound = func(RoundRecord) {
 		lb.Fail(0)
@@ -270,7 +322,7 @@ func TestRunClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := ClusterConfig{Config: baseConfig(t, 36), Transport: tr}
+	ccfg := ClusterConfig{Config: baseConfig(t, 36), Transport: tr, Gen: &ShardGen{MasterSeed: 36}}
 	ccfg.TrimOnBatch = true
 	overTCP, err := RunCluster(ccfg)
 	if err != nil {
@@ -289,56 +341,68 @@ func TestRunClusterOverTCP(t *testing.T) {
 	}
 }
 
-// Kept-pool estimators: every engine plays the same game over the same
-// stream, so the Kept counts must match the tallies exactly and the
-// summary-driven mean/quantiles must agree across engines (exact running
-// sums for the mean; the ε budget plus merge slack for quantiles).
+// Kept-pool estimators: the engines of one group play the same game over
+// the same stream — Run and RunSharded on one central RNG, RunSharded and
+// RunCluster on one ShardGen — so within a group the Kept counts must match
+// the tallies exactly and the summary-driven mean/quantiles must agree
+// (exact running sums for the mean; the ε budget plus merge slack for
+// quantiles).
 func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 	cfg := baseConfig(t, 37)
 	cfg.TrimOnBatch = true
-	engines := []struct {
+	type engine struct {
 		name string
 		run  func() (*Result, error)
-	}{
-		{"run", func() (*Result, error) { return Run(cfg) }},
-		{"sharded", func() (*Result, error) { return RunSharded(ShardedConfig{Config: cfg, Shards: 3}) }},
-		{"cluster", func() (*Result, error) {
-			return RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3)})
-		}},
 	}
-	var ref *Result
-	for _, en := range engines {
-		cfg.Rng = stats.NewRand(38) // fresh but identical stream per engine
-		res, err := en.run()
-		if err != nil {
-			t.Fatalf("%s: %v", en.name, err)
-		}
-		if res.Kept == nil {
-			t.Fatalf("%s: no kept summary", en.name)
-		}
-		var tallied int
-		for _, rec := range res.Board.Records {
-			tallied += rec.HonestKept + rec.PoisonKept
-		}
-		if res.Kept.Count() != tallied {
-			t.Errorf("%s: kept count %d, tallies %d", en.name, res.Kept.Count(), tallied)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if got, want := res.Kept.Count(), ref.Kept.Count(); got != want {
-			t.Errorf("%s: kept count %d, reference engine %d", en.name, got, want)
-		}
-		if got, want := res.KeptMean(), ref.KeptMean(); math.Abs(got-want) > 1e-9*math.Abs(want) {
-			t.Errorf("%s: KeptMean %v, reference engine %v", en.name, got, want)
-		}
-		for _, q := range []float64{0.1, 0.5, 0.9} {
-			got, want := res.KeptQuantile(q), ref.KeptQuantile(q)
-			// Each sketch answers within ε of the true rank; two sketches
-			// of the same pool can differ by at most the summed budgets.
-			if lo, hi := ref.KeptQuantile(q-2*cfg.SummaryEpsilon-0.02), ref.KeptQuantile(q+2*cfg.SummaryEpsilon+0.02); got < lo || got > hi {
-				t.Errorf("%s: KeptQuantile(%v) = %v outside reference band [%v, %v] around %v", en.name, q, got, lo, hi, want)
+	groups := [][]engine{
+		{
+			{"run", func() (*Result, error) { return Run(cfg) }},
+			{"sharded", func() (*Result, error) { return RunSharded(ShardedConfig{Config: cfg, Shards: 3}) }},
+		},
+		{
+			{"sharded-local", func() (*Result, error) {
+				return RunSharded(ShardedConfig{Config: cfg, Shards: 3, Gen: &ShardGen{MasterSeed: 38}})
+			}},
+			{"cluster", func() (*Result, error) {
+				return RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3), Gen: &ShardGen{MasterSeed: 38}})
+			}},
+		},
+	}
+	for _, group := range groups {
+		var ref *Result
+		for _, en := range group {
+			cfg.Rng = stats.NewRand(38) // fresh but identical stream per engine
+			res, err := en.run()
+			if err != nil {
+				t.Fatalf("%s: %v", en.name, err)
+			}
+			if res.Kept == nil {
+				t.Fatalf("%s: no kept summary", en.name)
+			}
+			var tallied int
+			for _, rec := range res.Board.Records {
+				tallied += rec.HonestKept + rec.PoisonKept
+			}
+			if res.Kept.Count() != tallied {
+				t.Errorf("%s: kept count %d, tallies %d", en.name, res.Kept.Count(), tallied)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if got, want := res.Kept.Count(), ref.Kept.Count(); got != want {
+				t.Errorf("%s: kept count %d, reference engine %d", en.name, got, want)
+			}
+			if got, want := res.KeptMean(), ref.KeptMean(); math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%s: KeptMean %v, reference engine %v", en.name, got, want)
+			}
+			for _, q := range []float64{0.1, 0.5, 0.9} {
+				got, want := res.KeptQuantile(q), ref.KeptQuantile(q)
+				// Each sketch answers within ε of the true rank; two sketches
+				// of the same pool can differ by at most the summed budgets.
+				if lo, hi := ref.KeptQuantile(q-2*cfg.SummaryEpsilon-0.02), ref.KeptQuantile(q+2*cfg.SummaryEpsilon+0.02); got < lo || got > hi {
+					t.Errorf("%s: KeptQuantile(%v) = %v outside reference band [%v, %v] around %v", en.name, q, got, lo, hi, want)
+				}
 			}
 		}
 	}
@@ -363,7 +427,8 @@ func TestKeptEstimatorsExactModeNaN(t *testing.T) {
 }
 
 // The sharded row game must agree with the unsharded row game on the
-// observable outcomes within the summary budget, and be deterministic.
+// observable outcomes within the summary budget plus sampling noise (the
+// shard-local draws use their own RNG streams), and be deterministic.
 func TestRunShardedRowsAgreesWithRunRows(t *testing.T) {
 	mk := func() RowConfig {
 		d := dataset.VehicleN(stats.NewRand(40), 400)
@@ -382,14 +447,20 @@ func TestRunShardedRowsAgreesWithRunRows(t *testing.T) {
 			Rng:         stats.NewRand(41),
 		}
 	}
+	runSharded := func() *RowResult {
+		res, err := RunShardedRows(RowShardedConfig{
+			RowConfig: mk(), Shards: 4, Gen: &ShardGen{MasterSeed: 41},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	single, err := RunRows(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunShardedRows(RowShardedConfig{RowConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := runSharded()
 	if math.Abs(single.Board.PoisonRetention()-sharded.Board.PoisonRetention()) > 0.05 {
 		t.Errorf("retention %v (single) vs %v (sharded)",
 			single.Board.PoisonRetention(), sharded.Board.PoisonRetention())
@@ -405,10 +476,7 @@ func TestRunShardedRowsAgreesWithRunRows(t *testing.T) {
 	if got := sharded.Kept.Len(); got != kept {
 		t.Errorf("kept dataset %d rows, accounting says %d", got, kept)
 	}
-	again, err := RunShardedRows(RowShardedConfig{RowConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := runSharded()
 	for i := range sharded.Board.Records {
 		if sharded.Board.Records[i] != again.Board.Records[i] {
 			t.Fatalf("round %d diverged between identical seeds", i+1)
@@ -417,8 +485,8 @@ func TestRunShardedRowsAgreesWithRunRows(t *testing.T) {
 }
 
 // The sharded LDP game must agree with the unsharded LDP game on mean
-// estimate and retention within summary-budget tolerances, and be
-// deterministic.
+// estimate, true mean and retention within summary-budget plus sampling
+// tolerances, and be deterministic.
 func TestRunShardedLDPAgreesWithRunLDP(t *testing.T) {
 	mk := func() LDPConfig {
 		inputs := make([]float64, 3000)
@@ -449,21 +517,29 @@ func TestRunShardedLDPAgreesWithRunLDP(t *testing.T) {
 			Rng:         stats.NewRand(43),
 		}
 	}
+	runSharded := func() *LDPResult {
+		res, err := RunShardedLDP(LDPShardedConfig{
+			LDPConfig: mk(), Shards: 4, Gen: &ShardGen{MasterSeed: 43},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	single, err := RunLDP(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunShardedLDP(LDPShardedConfig{LDPConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seed, same arrivals; thresholds differ within ε, so the kept
-	// pools (and the mean estimates over them) stay close.
+	sharded := runSharded()
+	// Same input pool and game; thresholds differ within ε and the draws
+	// by sampling noise, so the kept pools (and the mean estimates over
+	// them) stay close.
 	if math.Abs(single.MeanEstimate-sharded.MeanEstimate) > 0.1 {
 		t.Errorf("mean estimate %v (single) vs %v (sharded)", single.MeanEstimate, sharded.MeanEstimate)
 	}
-	if single.TrueMean != sharded.TrueMean {
-		t.Errorf("true mean diverged: %v vs %v (RNG streams out of sync)", single.TrueMean, sharded.TrueMean)
+	// Both true means average 3200 uniform draws from one pool.
+	if math.Abs(single.TrueMean-sharded.TrueMean) > 0.05 {
+		t.Errorf("true mean %v (single) vs %v (sharded)", single.TrueMean, sharded.TrueMean)
 	}
 	if math.Abs(single.Board.PoisonRetention()-sharded.Board.PoisonRetention()) > 0.05 {
 		t.Errorf("retention %v (single) vs %v (sharded)",
@@ -472,10 +548,7 @@ func TestRunShardedLDPAgreesWithRunLDP(t *testing.T) {
 	if len(sharded.AllReports) != 0 {
 		t.Errorf("sharded LDP pooled %d raw reports; should pool none", len(sharded.AllReports))
 	}
-	again, err := RunShardedLDP(LDPShardedConfig{LDPConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := runSharded()
 	if single.MeanEstimate == 0 && sharded.MeanEstimate == 0 {
 		t.Error("degenerate zero estimates")
 	}
@@ -487,12 +560,11 @@ func TestRunShardedLDPAgreesWithRunLDP(t *testing.T) {
 // RunClusterLDP must reject mechanisms whose mean estimate cannot be
 // reduced from (sum, count) aggregates.
 func TestRunClusterLDPRequiresSumEstimator(t *testing.T) {
-	cfg := LDPShardedConfig{Shards: 2}
+	cfg := LDPShardedConfig{Shards: 2, Gen: &ShardGen{MasterSeed: 1}}
 	cfg.LDPConfig = LDPConfig{
 		Rounds: 1, Batch: 10,
 		Inputs:    []float64{0.1, 0.2},
 		Mechanism: nonSumMech{},
-		Rng:       stats.NewRand(1),
 	}
 	static, err := trim.NewStatic("s", 0.9)
 	if err != nil {

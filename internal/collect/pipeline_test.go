@@ -558,6 +558,7 @@ func TestRowsCheckpointResumeTCP(t *testing.T) {
 // Pipelining requires the shard-local data plane on every game.
 func TestPipelineRequiresShardGen(t *testing.T) {
 	ccfg := clusterConfig(t, 94, 2)
+	ccfg.Gen = nil
 	ccfg.Pipeline = true
 	if _, err := RunCluster(ccfg); err == nil || !strings.Contains(err.Error(), "shard-local") {
 		t.Errorf("scalar: err = %v, want shard-local rejection", err)

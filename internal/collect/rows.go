@@ -93,16 +93,16 @@ func (c *RowConfig) validateMode(shardLocal bool) error {
 type RowResult struct {
 	Board Board
 	// Kept pools every retained row across rounds. Labels are carried when
-	// the source dataset is labeled. Shard-local cluster games hold kept
-	// rows worker-side and materialize Kept only on request
+	// the source dataset is labeled. Cluster games hold kept rows
+	// worker-side and materialize Kept only on request
 	// (RowClusterConfig.CollectKept) via the paged end-of-game fetch;
 	// otherwise it stays empty and PoolRows is the manifest.
 	Kept *dataset.Dataset
 	// KeptPoison counts poison rows that survived trimming.
 	KeptPoison int
 	// PoolRows is the per-leaf manifest of worker-held kept-row pools at
-	// game end (leaf order; empty for in-process and coordinator-fed
-	// games, where Kept is materialized directly).
+	// game end (leaf order; empty for in-process games, where Kept is
+	// materialized directly).
 	PoolRows []int
 	// ClusterStats carries the loss, membership, egress and per-phase
 	// timing account of a cluster run (all zero for in-process games).

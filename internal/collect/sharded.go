@@ -194,9 +194,11 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 						sum.SetFocus(anchor, fw, ft)
 					}
 					sum.PushBatch(values[lo:hi])
+					// Poison starts at poisonStart in the round; clamp it
+					// into this shard's [lo, hi) slice.
 					outs[s] = shardOut{
 						values:     values[lo:hi],
-						poisonFrom: slicePoisonFrom(poisonStart, lo, hi),
+						poisonFrom: min(max(poisonStart-lo, 0), hi-lo),
 						sum:        sum,
 					}
 				}(s, lo, hi)

@@ -9,14 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// ShardGen selects the shard-local data plane (DESIGN.md §7): when a
-// sharded or cluster config carries one, arrivals are no longer drawn by a
-// central generator and fanned out — each shard derives its own RNG stream
-// stats.NewRand(stats.DeriveSeed(MasterSeed, shard, round)) and draws its
-// slice of every round locally. A cluster coordinator then broadcasts an
-// O(1) round directive (seed material, counts, the injection spec, the
-// resolved threshold) instead of an O(batch) value slice, and a run is a
-// pure function of (MasterSeed, shard count).
+// ShardGen is the shard-local data plane (DESIGN.md §7): each shard
+// derives its own RNG stream stats.NewRand(stats.DeriveSeed(MasterSeed,
+// shard, round)) and draws its slice of every round locally, so a run is a
+// pure function of (MasterSeed, shard count). Every cluster config requires
+// one — the coordinator broadcasts an O(1) round directive (seed material,
+// counts, the injection spec, the resolved threshold) and never draws an
+// arrival. On the in-process ShardedConfig it is optional: without it
+// RunSharded slices one centrally drawn batch, the bridge to Run.
 //
 // The mode trades generality for locality, enforced at validation:
 //

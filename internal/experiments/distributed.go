@@ -25,10 +25,11 @@ type DistributedRow struct {
 	// MaxRankDelta is the largest per-round threshold difference from the
 	// unsharded run, in reference-rank space — the observable cost of
 	// merging (possibly wire-hopped) shard summaries instead of
-	// summarizing centrally. Bounded by the summary ε budget for variants
-	// that replay the identical arrivals; for shard-local variants (their
-	// arrivals come from derived per-shard streams, not the baseline's
-	// RNG) it additionally carries the batch sampling noise.
+	// summarizing centrally. Bounded by the summary ε budget for the
+	// sharded variants, which replay the identical arrivals; for the
+	// shard-local cluster variants (their arrivals come from derived
+	// per-shard streams, not the baseline's RNG) it additionally carries the
+	// batch sampling noise.
 	MaxRankDelta    float64
 	PoisonRetention float64
 	HonestLoss      float64
@@ -39,21 +40,19 @@ type DistributedRow struct {
 	KeptP99  float64
 	// EgressPerRound is the coordinator's outbound directive traffic per
 	// round in bytes (0 for in-process variants); EgressConfig the
-	// one-time configure shipment. The shard-local variants are the point:
-	// per-round egress collapses from O(batch) to O(workers).
+	// one-time configure shipment. Per-round egress of the cluster variants
+	// is O(workers), independent of the batch.
 	EgressPerRound float64
 	EgressConfig   float64
 }
 
 // DistributedResult compares the same heavy-batch scalar game run
-// unsharded, sharded in-process (goroutine fan-out), across a loopback
-// worker cluster shipping raw slices (full wire protocol, two fan-outs per
-// round), and across the same cluster on the shard-local data plane
-// (workers generate their own arrivals from derived seed streams; the
+// unsharded, sharded in-process (goroutine fan-out), and across a loopback
+// worker cluster on the shard-local data plane (full wire protocol;
+// workers generate their own arrivals from derived seed streams and the
 // coordinator ships O(1) seed directives). It is the reproduction's
 // distributed-collector study: the cluster must track the unsharded
-// thresholds within tolerance while the per-round coordinator egress
-// collapses.
+// thresholds within tolerance at O(workers) coordinator egress per round.
 type DistributedResult struct {
 	Rounds      int
 	Batch       int
@@ -151,15 +150,6 @@ func Distributed(sc Scale, workerCounts []int) (*DistributedResult, error) {
 			return nil, err
 		}
 		record(fmt.Sprintf("sharded-%d", n), out, millis, baseline)
-	}
-	for _, n := range workerCounts {
-		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {
-			return collect.RunCluster(collect.ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(n)})
-		})
-		if err != nil {
-			return nil, err
-		}
-		record(fmt.Sprintf("cluster-%d", n), out, millis, baseline)
 	}
 	for _, n := range workerCounts {
 		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {

@@ -9,9 +9,10 @@ import (
 // SnapGame discriminates which collection game a snapshot belongs to.
 type SnapGame byte
 
-// The checkpointable games. SnapScalar covers the scalar and LDP cluster
-// games (their resumable state is the two game-long streams). SnapRows is
-// the shard-local row game: since workers hold their own kept-row pools
+// The checkpointable games: the scalar and row cluster games checkpoint
+// (the LDP cluster game has no Checkpoint/Resume). SnapScalar is the scalar
+// game, whose resumable state is the two game-long streams. SnapRows is
+// the row game: since workers hold their own kept-row pools
 // (rowstore.Pool, DESIGN.md §14), its snapshot is O(1/ε) — the robust-
 // center vector sketch, the late-center delay line, and the per-leaf pool
 // row counts — and never a row.

@@ -55,15 +55,20 @@ import (
 // resume (OpFetchRows with Directive.Leaf addressing, OpPoolTrim), and
 // row-game snapshots (SnapRows) checkpoint O(1/ε) coordinator state —
 // the robust-center vector sketch, the late-center delay line, and the
-// per-leaf pool manifest — instead of any rows.
-const Version = 8
+// per-leaf pool manifest — instead of any rows; 9 retired the
+// coordinator-fed data plane: op codes 2 and 3 (Summarize/SummarizeRows,
+// raw arrival slices per round) are rejected and stay unassigned, and the
+// fields only they used — the directive's value slice and poison offset,
+// and the report's kept-index list — are gone, so every round directive is
+// a generator spec.
+const Version = 9
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 8
+const MinVersion = 9
 
 const (
 	magic0 = 'T'

@@ -117,7 +117,9 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportRoundTrip(t *testing.T) {
+// reportFixtures are one report of every shape the protocol ships — the
+// round-trip fixtures, and the seeds of the FuzzDecodeReport corpus.
+func reportFixtures(t testing.TB) []*Report {
 	rng := rand.New(rand.NewSource(3))
 	vec, err := summary.NewVector(3, 0.02, 100)
 	if err != nil {
@@ -128,7 +130,7 @@ func TestReportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps := []*Report{
+	return []*Report{
 		{}, // zero report (a bare ack)
 		{
 			Round: 7, Worker: 3, Epsilon: 0.01,
@@ -139,10 +141,10 @@ func TestReportRoundTrip(t *testing.T) {
 			Counts:    Counts{HonestKept: 10, HonestTrimmed: 2, PoisonKept: 1, PoisonTrimmed: 4},
 			Kept:      randomSummary(t, rng, "heavy", 300, 0),
 			KeptCount: 11, KeptSum: -9.5,
-			KeptIdx: []int{0, 3, 4, 9, 17},
-			Vec:     DeltaFromVector(vec),
+			PoolRows: []int{42},
+			Vec:      DeltaFromVector(vec),
 		},
-		{ // shard-local generate reply
+		{ // generate reply
 			Round: 3, Worker: 2, Epsilon: 0.01,
 			Sum: randomSummary(t, rng, "uniform", 200, 16), Count: 200, ValueSum: 55.5,
 			PctSum: 3.96, InputSum: -1.25,
@@ -152,7 +154,7 @@ func TestReportRoundTrip(t *testing.T) {
 			Sum: randomSummary(t, rng, "heavy", 100, 16), Count: 100, ValueSum: 9.75,
 			ScaleMin: 0.001, ScaleMax: 17.5,
 		},
-		{ // shard-local rows classify reply
+		{ // kept-row page (OpFetchRows reply) beside classify fields
 			Round: 5, Worker: 1, Epsilon: 0.02,
 			Counts:    Counts{HonestKept: 2, PoisonKept: 1},
 			Kept:      randomSummary(t, rng, "duplicate", 40, 0),
@@ -192,7 +194,10 @@ func TestReportRoundTrip(t *testing.T) {
 			Vec: DeltaFromVector(vec),
 		},
 	}
-	for i, rep := range reps {
+}
+
+func TestReportRoundTrip(t *testing.T) {
+	for i, rep := range reportFixtures(t) {
 		got, err := DecodeReport(EncodeReport(nil, rep))
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
@@ -203,28 +208,24 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDirectiveRoundTrip(t *testing.T) {
-	dirs := []*Directive{
+// directiveFixtures are one directive of every shape the protocol ships —
+// the round-trip fixtures, and the seeds of the FuzzDecodeDirective corpus.
+func directiveFixtures() []*Directive {
+	return []*Directive{
 		{Op: OpConfigure, Epsilon: 0.01},
-		{Op: OpSummarize, Round: 4, Values: []float64{1, 2, math.Pi, -7}, PoisonFrom: 3},
-		{
-			Op: OpSummarizeRows, Round: 5,
-			Rows:   [][]float64{{1, 2}, {3, 4}, {5, 6}},
-			Center: []float64{0.5, -0.5}, PoisonFrom: 2,
-		},
 		{Op: OpClassify, Round: 6, Pct: 0.9, Threshold: 1.234},
 		{Op: OpStop},
-		{ // shard-local configure: scalar pool + reference
+		{ // configure: scalar pool + reference
 			Op: OpConfigure, Epsilon: 0.01,
 			Pool:      []float64{3, 1, 2},
 			RefSorted: []float64{1, 2, 3},
 		},
-		{ // shard-local configure: LDP pool + mechanism
+		{ // configure: LDP pool + mechanism
 			Op: OpConfigure, Epsilon: 0.02,
 			Pool:     []float64{-0.5, 0.5},
 			MechKind: 1, MechEps: 2,
 		},
-		{ // shard-local configure: row dataset
+		{ // configure: row dataset
 			Op: OpConfigure, Epsilon: 0.01,
 			Rows:     [][]float64{{1, 2, 3}, {4, 5, 6}},
 			Labels:   []int{1, 0},
@@ -233,7 +234,7 @@ func TestDirectiveRoundTrip(t *testing.T) {
 		{ // scale pass over a dataset range
 			Op: OpScale, Round: 2, Center: []float64{0.1, 0.2, 0.3}, Lo: 10, Hi: 20,
 		},
-		{ // O(1) shard-local round directive
+		{ // O(1) round directive
 			Op: OpGenerate, Round: 3,
 			Gen: &GenSpec{
 				Seed: -12345, HonestN: 250, PoisonN: 50,
@@ -288,8 +289,18 @@ func TestDirectiveRoundTrip(t *testing.T) {
 			ScaleCenter: []float64{0.75, 1.25},
 			Lo:          0, Hi: 40, Cuts: []int{0, 20, 40},
 		},
+		{ // v6: focus-stamped generate
+			Op: OpGenerate, Round: 2, FocusPct: math.Pi / 4, FocusWidth: 0.05, FocusTighten: 4,
+			Gen: &GenSpec{Seed: 1, HonestN: 3, InjectKind: 1, InjectHi: 0.99},
+		},
+		{Op: OpFetchRows, Leaf: 2, Lo: 4096, Hi: 8192},
+		{Op: OpPoolTrim, Round: 7, Lo: 10, Cuts: []int{10, 0, 7}},
+		{Op: OpJoin, Round: 3, Epoch: 4},
 	}
-	for i, d := range dirs {
+}
+
+func TestDirectiveRoundTrip(t *testing.T) {
+	for i, d := range directiveFixtures() {
 		got, err := DecodeDirective(EncodeDirective(nil, d))
 		if err != nil {
 			t.Fatalf("directive %d: %v", i, err)
@@ -308,10 +319,11 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	msgs := map[string][]byte{
 		"summary": EncodeSummary(nil, s),
 		"report": EncodeReport(nil, &Report{
-			Round: 1, Sum: s, Count: 64, ValueSum: 30, KeptIdx: []int{1, 2},
+			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2},
 		}),
 		"directive": EncodeDirective(nil, &Directive{
-			Op: OpSummarize, Round: 1, Values: []float64{1, 2, 3}, PoisonFrom: 1,
+			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3},
+			Gen: &GenSpec{Seed: 5, HonestN: 2, PoisonN: 1, Subs: []SubSpec{{Seed: 5, HonestN: 2, PoisonN: 1}}},
 		}),
 	}
 	decode := map[string]func([]byte) error{
@@ -361,6 +373,27 @@ func TestDecodeRejectsWrongVersionMagicKind(t *testing.T) {
 	old[2] = MinVersion - 1
 	if _, err := DecodeSummary(old); !errors.Is(err, ErrVersion) {
 		t.Fatalf("retired version: %v, want ErrVersion", err)
+	}
+}
+
+// Format 9 retired op codes 2 and 3 (the coordinator-fed Summarize and
+// SummarizeRows): a current-version directive carrying either must be
+// rejected, as must codes outside the defined range, while every live op
+// decodes.
+func TestDecodeRejectsRetiredOps(t *testing.T) {
+	msg := EncodeDirective(nil, &Directive{Op: OpClassify, Round: 1, Threshold: 0.5})
+	const opOffset = headerSize // the op byte opens the directive payload
+	for op := 0; op <= 255; op++ {
+		b := append([]byte(nil), msg...)
+		b[opOffset] = byte(op)
+		d, err := DecodeDirective(b)
+		live := op == int(OpConfigure) || (op >= int(OpClassify) && op <= int(OpPoolTrim))
+		switch {
+		case live && err != nil:
+			t.Errorf("op %d: %v", op, err)
+		case !live && err == nil:
+			t.Errorf("op %d decoded as %+v; want rejection", op, d)
+		}
 	}
 }
 
